@@ -2,10 +2,12 @@
 
 Three layers of guarantees:
 
-* **cuda bit-identity** — the default backend reproduces, bit for bit, the
-  pre-refactor emitter for all five kernel families
+* **emitter bit-identity** — every backend reproduces, bit for bit, the
+  pre-refactor emitters for all five kernel families: the cuda compile
   (``tests/data/golden_backend_digests.json``, recorded on the tree just
-  before the registry landed);
+  before the registry landed) and the rocm/cpu-sim emission of the same
+  candidates (``tests/data/golden_emitter_digests.json``, recorded before
+  the GPU emitters were merged);
 * **legitimate divergence** — the rocm backend's wider LDS banking flows
   into swizzle enumeration/conflict scoring, so fig22 GEMM synthesis
   picks a different shared-memory plan than cuda;
@@ -32,6 +34,7 @@ from repro.sim.arch import CPU_SIM, MI300, get_arch
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_backend_digests.json").read_text())
+EMITTER_GOLDEN = json.loads((DATA / "golden_emitter_digests.json").read_text())
 
 # The recorder module owns the family -> (builder, arch, max_candidates)
 # mapping; importing it (instead of duplicating the configs) keeps the gate
@@ -48,6 +51,10 @@ def _fig22_gemm():
     return build_fp16_gemm(4096, 4096, 4096, GemmConfig(bm=128, bn=128, bk=32))
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def family_kernels():
     """One fresh (uncached) cuda compile per golden kernel family."""
@@ -57,6 +64,12 @@ def family_kernels():
             build(), arch=arch, max_candidates=max_candidates, use_cache=False
         )
     return kernels
+
+
+@pytest.fixture(scope="module")
+def fig22_mi300():
+    """The fig22 GEMM compiled end to end on mi300 (the rocm backend)."""
+    return compile_kernel(_fig22_gemm(), arch="mi300", max_candidates=102, use_cache=False)
 
 
 # --------------------------------------------------------------------------- #
@@ -111,13 +124,30 @@ def test_cuda_backend_bit_identical_to_prerefactor_goldens(family_kernels):
     assert set(family_kernels) == set(GOLDEN)
     for family, kernel in family_kernels.items():
         entry = GOLDEN[family]
-        digest = hashlib.sha256(kernel.source.encode("utf-8")).hexdigest()
-        assert digest == entry["source_sha256"], f"{family}: emitted source diverged"
+        assert _sha256(kernel.source) == entry["source_sha256"], f"{family}: emitted source diverged"
         assignment = [list(t) for t in kernel.candidate.named_assignment(kernel.program)]
         assert assignment == entry["assignment"], f"{family}: winning assignment diverged"
         assert float(kernel.timing.latency_us).hex() == entry["latency_us"], (
             f"{family}: simulated latency diverged"
         )
+
+
+def test_rocm_and_cpu_sim_emission_bit_identical_to_goldens(family_kernels):
+    golden = EMITTER_GOLDEN["families"]
+    assert set(family_kernels) == set(golden)
+    for family, kernel in family_kernels.items():
+        rocm_src = get_backend("rocm").emit(kernel.program, kernel.candidate, MI300)
+        cpu_src = get_backend("cpu-sim").emit(kernel.program, kernel.candidate, CPU_SIM)
+        assert _sha256(rocm_src) == golden[family]["rocm_mi300_sha256"], (
+            f"{family}: rocm source diverged"
+        )
+        assert _sha256(cpu_src) == golden[family]["cpu_sim_sha256"], (
+            f"{family}: cpu-sim source diverged"
+        )
+
+
+def test_fig22_mi300_source_bit_identical_to_golden(fig22_mi300):
+    assert _sha256(fig22_mi300.source) == EMITTER_GOLDEN["fig22_mi300_source_sha256"]
 
 
 # --------------------------------------------------------------------------- #
@@ -158,9 +188,9 @@ def test_emission_structure_per_family_and_backend(family_kernels):
 # --------------------------------------------------------------------------- #
 # fig22 synthesis divergence: cuda vs rocm
 # --------------------------------------------------------------------------- #
-def test_fig22_gemm_synthesis_diverges_on_rocm(family_kernels):
+def test_fig22_gemm_synthesis_diverges_on_rocm(family_kernels, fig22_mi300):
     cuda = family_kernels["gemm"]  # the fig22 config, per the recorder
-    rocm = compile_kernel(_fig22_gemm(), arch="mi300", max_candidates=102, use_cache=False)
+    rocm = fig22_mi300
     cuda_plans = {t.name: str(p.swizzle) for t, p in cuda.candidate.smem_plans.items()}
     rocm_plans = {t.name: str(p.swizzle) for t, p in rocm.candidate.smem_plans.items()}
     # The wider CDNA banking admits (and rewards) a swizzle the NVIDIA
