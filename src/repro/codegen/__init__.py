@@ -1,33 +1,25 @@
 """Lowering and source emission for compiled tile programs.
 
 Emission dispatches through the :class:`~repro.codegen.backend.Backend`
-registry (``BACKENDS``/:func:`~repro.codegen.backend.get_backend`): the
-original annotated pseudo-CUDA emitter (``cuda``), a HIP-flavored CDNA
-emitter (``rocm``) and a vectorized-loop pseudo-C emitter with no
-shared-memory stage (``cpu-sim``).  Architectures declare which backend
-they compile through (:attr:`repro.sim.arch.GpuArch.backend`).
+registry (``BACKENDS``/:func:`~repro.codegen.backend.get_backend`): one GPU
+emitter rendered in the CUDA (``cuda``) or HIP-flavored CDNA (``rocm``)
+dialect, and a vectorized-loop pseudo-C emitter with no shared-memory stage
+(``cpu-sim``).  Architectures declare which backend they compile through
+(:attr:`repro.sim.arch.GpuArch.backend`).
 """
 
 from repro.codegen.backend import (
     BACKENDS,
     Backend,
     CpuSimBackend,
-    CudaBackend,
-    RocmBackend,
+    GpuBackend,
     get_backend,
 )
-from repro.codegen.cpu_emitter import emit_cpu_source
-from repro.codegen.cuda_emitter import emit_cuda_source
-from repro.codegen.rocm_emitter import emit_rocm_source
 
 __all__ = [
     "BACKENDS",
     "Backend",
     "CpuSimBackend",
-    "CudaBackend",
-    "RocmBackend",
-    "emit_cpu_source",
-    "emit_cuda_source",
-    "emit_rocm_source",
+    "GpuBackend",
     "get_backend",
 ]

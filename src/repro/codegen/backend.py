@@ -7,7 +7,7 @@ a :class:`Backend` instead of hardwiring the CUDA emitter.  A backend owns
 two target-specific decisions:
 
 * :meth:`Backend.emit` — how a compiled tile program is lowered to source
-  (the CUDA pseudo-source, HIP-flavored LDS source, or vectorized-loop
+  (one GPU emitter rendered in the CUDA or HIP dialect, or vectorized-loop
   pseudo-C);
 * :meth:`Backend.smem_bank_params` — the shared-memory banking geometry the
   smem solver scores swizzles against, so synthesis *results* legitimately
@@ -27,6 +27,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, Union
 
+from repro.codegen.cpu_emitter import emit_cpu_source
+from repro.codegen.gpu_emitter import CUDA, ROCM, GpuDialect, emit_gpu_source
 from repro.sim.arch import GpuArch
 from repro.synthesis.smem_solver import SmemBankParams
 
@@ -34,8 +36,7 @@ __all__ = [
     "BACKENDS",
     "Backend",
     "CpuSimBackend",
-    "CudaBackend",
-    "RocmBackend",
+    "GpuBackend",
     "get_backend",
 ]
 
@@ -62,32 +63,21 @@ class Backend(ABC):
         return f"<backend {self.name}>"
 
 
-class CudaBackend(Backend):
-    """The original target: annotated pseudo-CUDA over NVIDIA banking."""
+class GpuBackend(Backend):
+    """A GPU target: the shared GPU emitter rendered in one dialect.
 
-    name = "cuda"
-
-    def emit(self, program, candidate, arch: GpuArch) -> str:
-        from repro.codegen.cuda_emitter import emit_cuda_source
-
-        return emit_cuda_source(program, candidate, arch)
-
-
-class RocmBackend(Backend):
-    """HIP-flavored emission for CDNA targets (MI300-class).
-
-    The banking geometry comes from the architecture entry (64 x 4 B LDS
-    banks on ``mi300``), which widens the swizzle search window — the
-    synthesized layouts differ from the cuda path, not just the source
-    text.
+    ``cuda`` emits annotated pseudo-CUDA over NVIDIA banking; ``rocm`` emits
+    HIP-flavored source for CDNA targets (MI300-class), whose 64 x 4 B LDS
+    banks widen the swizzle search window — the synthesized layouts differ
+    from the cuda path, not just the source text.
     """
 
-    name = "rocm"
+    def __init__(self, dialect: GpuDialect) -> None:
+        self.name = dialect.name
+        self.dialect = dialect
 
     def emit(self, program, candidate, arch: GpuArch) -> str:
-        from repro.codegen.rocm_emitter import emit_rocm_source
-
-        return emit_rocm_source(program, candidate, arch)
+        return emit_gpu_source(program, candidate, arch, self.dialect)
 
 
 class CpuSimBackend(Backend):
@@ -101,8 +91,6 @@ class CpuSimBackend(Backend):
     name = "cpu-sim"
 
     def emit(self, program, candidate, arch: GpuArch) -> str:
-        from repro.codegen.cpu_emitter import emit_cpu_source
-
         return emit_cpu_source(program, candidate, arch)
 
     def smem_bank_params(self, arch: GpuArch) -> SmemBankParams:
@@ -112,7 +100,7 @@ class CpuSimBackend(Backend):
 
 BACKENDS: Dict[str, Backend] = {
     backend.name: backend
-    for backend in (CudaBackend(), RocmBackend(), CpuSimBackend())
+    for backend in (GpuBackend(CUDA), GpuBackend(ROCM), CpuSimBackend())
 }
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.codegen.gpu_emitter import lookup_ctype
 from repro.ir.graph import KernelProgram
 from repro.ir.ops import (
     AllocRegister,
@@ -32,7 +33,7 @@ from repro.sim.arch import GpuArch
 
 __all__ = ["emit_cpu_source"]
 
-_CTYPE = {
+CPU_CTYPES = {
     "float64": "double",
     "float32": "float",
     "float16": "_Float16",
@@ -54,13 +55,7 @@ _CTYPE = {
 
 
 def _ctype(dtype) -> str:
-    try:
-        return _CTYPE[dtype.name]
-    except KeyError:
-        raise KeyError(
-            f"no C type mapping for dtype {dtype.name!r} "
-            f"(known: {sorted(_CTYPE)})"
-        ) from None
+    return lookup_ctype(CPU_CTYPES, dtype, "C")
 
 
 def emit_cpu_source(program: KernelProgram, candidate, arch: GpuArch) -> str:

@@ -25,7 +25,8 @@ from pathlib import Path
 import pytest
 
 from repro.codegen import BACKENDS, get_backend
-from repro.codegen import cpu_emitter, cuda_emitter, rocm_emitter
+from repro.codegen.cpu_emitter import CPU_CTYPES
+from repro.codegen.gpu_emitter import CUDA_CTYPES, HIP_CTYPES, lookup_ctype
 from repro.compiler import compile_kernel
 from repro.ir import types as ir_types
 from repro.kernels.gemm import GemmConfig, build_fp16_gemm
@@ -124,7 +125,8 @@ def test_cuda_backend_bit_identical_to_prerefactor_goldens(family_kernels):
     assert set(family_kernels) == set(GOLDEN)
     for family, kernel in family_kernels.items():
         entry = GOLDEN[family]
-        assert _sha256(kernel.source) == entry["source_sha256"], f"{family}: emitted source diverged"
+        digest = hashlib.sha256(kernel.source.encode("utf-8")).hexdigest()
+        assert digest == entry["source_sha256"], f"{family}: emitted source diverged"
         assignment = [list(t) for t in kernel.candidate.named_assignment(kernel.program)]
         assert assignment == entry["assignment"], f"{family}: winning assignment diverged"
         assert float(kernel.timing.latency_us).hex() == entry["latency_us"], (
@@ -228,30 +230,29 @@ def test_same_program_two_backends_two_cache_entries():
 
 
 # --------------------------------------------------------------------------- #
-# _ctype: every mapped dtype round-trips; unknown dtypes raise
+# dtype tables: every IR dtype is mapped; unknown dtypes raise
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize(
-    "emitter", [cuda_emitter, rocm_emitter, cpu_emitter],
-    ids=["cuda", "rocm", "cpu-sim"],
+DTYPE_TABLES = pytest.mark.parametrize(
+    "table", [CUDA_CTYPES, HIP_CTYPES, CPU_CTYPES], ids=["cuda", "rocm", "cpu-sim"],
 )
-def test_ctype_roundtrips_every_mapped_dtype(emitter):
+
+
+@DTYPE_TABLES
+def test_ctype_roundtrips_every_mapped_dtype(table):
     # Every dtype the IR defines has a mapping, and the mapping resolves
-    # through _ctype (no silent float fallback).
-    assert set(emitter._CTYPE) == {d.name for d in ir_types.all_types()}
+    # through lookup_ctype (no silent float fallback).
+    assert set(table) == {d.name for d in ir_types.all_types()}
     for dtype in ir_types.all_types():
-        assert emitter._ctype(dtype) == emitter._CTYPE[dtype.name]
+        assert lookup_ctype(table, dtype, "C") == table[dtype.name]
 
 
-@pytest.mark.parametrize(
-    "emitter", [cuda_emitter, rocm_emitter, cpu_emitter],
-    ids=["cuda", "rocm", "cpu-sim"],
-)
-def test_ctype_unknown_dtype_raises_keyerror_listing_known(emitter):
+@DTYPE_TABLES
+def test_ctype_unknown_dtype_raises_keyerror_listing_known(table):
     class FakeDtype:
         name = "float128_imaginary"
 
     with pytest.raises(KeyError) as excinfo:
-        emitter._ctype(FakeDtype())
+        lookup_ctype(table, FakeDtype(), "C")
     message = str(excinfo.value)
     assert "float128_imaginary" in message
     assert "float16" in message  # the known names are listed

@@ -3,7 +3,7 @@ the refactor-equivalence check against the seed (pre-refactor) pipeline."""
 
 import pytest
 
-from repro.codegen.cuda_emitter import emit_cuda_source
+from repro.codegen import get_backend
 from repro.compiler import compile_kernel
 from repro.frontend.autotune import autotune, autotune_compile
 from repro.instructions.registry import instruction_set
@@ -41,7 +41,7 @@ def seed_compile(program, arch, max_candidates):
     best = selector.best()
     selector.apply(best)
     timing = estimate_kernel_latency(program, best.cost, gpu)
-    source = emit_cuda_source(program, best, gpu)
+    source = get_backend("cuda").emit(program, best, gpu)
     return best, timing, source
 
 
