@@ -50,8 +50,8 @@ seeded workload therefore produce bit-identical ``ServeReport`` /
 
 **Digest compatibility.** ``ServeReport.digest()`` hashes only the
 per-request trace (plus run identity), so a feature that does not perturb
-the trace must not perturb the digest: a KV-budget run that never hits
-the budget is bit-identical to ``kv_memory=False``, a single-replica
+the trace must not perturb the digest: a workload with no shared
+prefixes is bit-identical with prefix caching on or off, a single-replica
 cluster is bit-identical to the bare ``ServingSimulator`` under every
 routing policy, and an empty ``FaultSchedule`` (with no deadlines) is
 bit-identical to ``faults=None``.  See ``docs/serving.md``.

@@ -174,11 +174,11 @@ class ClusterReport:
 
     @property
     def kv_utilization_spread(self) -> float:
-        """Max minus min per-replica KV *peak* utilization (0 if untracked)."""
-        tracked = [r.kv_peak_utilization for r in self.replicas if r.kv_total_blocks]
-        if not tracked:
+        """Max minus min per-replica KV *peak* utilization."""
+        peaks = [r.kv_peak_utilization for r in self.replicas]
+        if not peaks:
             return 0.0
-        return max(tracked) - min(tracked)
+        return max(peaks) - min(peaks)
 
     # Prefix-cache rollups: fleet sums of the per-replica counters (all 0
     # when no request declared a shared prefix), outside digest() like
@@ -384,7 +384,6 @@ class ClusterSimulator:
         prefill_parallelism: float = 8.0,
         step_model: Optional[StepLatencyModel] = None,
         seed: int = 0,
-        kv_memory: bool = True,
         kv_budget_blocks: Union[int, Sequence[int], None] = None,
         health_aware: bool = True,
         **replica_kwargs,
@@ -415,7 +414,6 @@ class ClusterSimulator:
                 max_batch_size=max_batch_size,
                 prefill_parallelism=prefill_parallelism,
                 step_model=step_model,
-                kv_memory=kv_memory,
                 kv_budget_blocks=budgets[index],
                 **replica_kwargs,
             )
@@ -444,8 +442,8 @@ class ClusterSimulator:
             waiting=engine.assigned - len(engine.running),
             running=len(engine.running),
             max_batch_size=engine.sim.max_batch_size,
-            kv_total_blocks=manager.total_blocks if manager is not None else 0,
-            kv_free_blocks=manager.free_blocks if manager is not None else 0,
+            kv_total_blocks=manager.total_blocks,
+            kv_free_blocks=manager.free_blocks,
             kv_reserved_blocks=engine.kv_reserved_blocks,
             preemptions=engine.preemptions,
             finished=len(engine.finished),

@@ -27,9 +27,8 @@ simulator.
 
 **Digest compatibility.** The budget only ever *removes* admissions or
 *adds* preemptions; a run that never touches either limit executes the
-exact slot-only trace, which is why an infinite budget (or light traffic
-against the real one) is bit-identical — digest-equal — to
-``kv_memory=False``.  Tests assert this per scheduler and workload.
+exact slot-only trace, so an infinite budget and light traffic against
+the real one digest identically.
 """
 
 from __future__ import annotations

@@ -119,10 +119,10 @@ class ServeReport:
     mean_queue_depth: float
     max_queue_depth: int
     requests: List[RequestMetrics] = field(default_factory=list, repr=False)
-    # KV-cache memory model (zeros when the accounting is disabled).
-    # Deliberately *not* part of digest(): the digest hashes the per-request
-    # trace, which preemption already perturbs — so a run that never hits
-    # the budget stays bit-identical to one with the model disabled.
+    # KV-cache memory model.  Deliberately *not* part of digest(): the
+    # digest hashes the per-request trace, which preemption already
+    # perturbs — so a run that never hits the budget digests the same at
+    # any budget size.
     preemptions: int = 0
     kv_block_tokens: int = 0
     kv_total_blocks: int = 0
@@ -288,14 +288,11 @@ class ServeReport:
             f"{self.latency_percentile_ms(95):.0f}/{self.latency_percentile_ms(99):.0f} ms, "
             f"SLO attainment {self.slo_attainment * 100.0:.1f}%, "
             f"mean batch {self.mean_batch_size:.1f}, "
-            f"max queue depth {self.max_queue_depth}"
+            f"max queue depth {self.max_queue_depth}, "
+            f"{self.preemptions} preemptions, "
+            f"KV peak {self.kv_peak_utilization * 100.0:.0f}% of "
+            f"{self.kv_total_blocks} blocks"
         )
-        if self.kv_total_blocks:
-            text += (
-                f", {self.preemptions} preemptions, "
-                f"KV peak {self.kv_peak_utilization * 100.0:.0f}% of "
-                f"{self.kv_total_blocks} blocks"
-            )
         if self.prefix_hits + self.prefix_misses:
             text += (
                 f", prefix hit rate {self.prefix_hit_rate * 100.0:.0f}% "

@@ -40,9 +40,7 @@ The KV budget defaults to the replica's real capacity — the architecture's
 HBM (``GpuArch.hbm_gb``) times a utilization headroom, minus the sharded
 model weights, in :data:`~repro.serving.memory.DEFAULT_KV_BLOCK_TOKENS`-token
 blocks (see :mod:`repro.serving.memory`).  Pass ``kv_budget_blocks`` to
-model a smaller (or effectively infinite) pool, or ``kv_memory=False`` to
-disable the accounting entirely; a run that never hits the budget is
-bit-identical to one with the model disabled.
+model a smaller (or effectively infinite) pool.
 
 Everything is deterministic: the only randomness lives in the seeded
 workload generators, schedulers break ties on request ids, block accounting
@@ -62,6 +60,7 @@ from repro.serving.memory import (
     DEFAULT_KV_BLOCK_TOKENS,
     KvBlockManager,
     KvMemoryView,
+    blocks_for_tokens,
     kv_budget_blocks as _derive_kv_budget_blocks,
 )
 from repro.serving.prefix import PrefixStore
@@ -105,10 +104,6 @@ class _ActiveRequest:
     prefix_key: Optional[str] = None
     shared_tokens: int = 0
 
-    @property
-    def done(self) -> bool:
-        return self.tokens_done >= self.request.output_tokens
-
 
 class ServingSimulator:
     """One simulated model replica running continuous batching.
@@ -122,15 +117,14 @@ class ServingSimulator:
     the model config and the architecture's HBM capacity
     (:func:`repro.serving.memory.kv_budget_blocks`); an explicit block
     count overrides it (e.g. a tiny pool to study preemption, or a huge
-    one to make memory irrelevant).  ``kv_memory=False`` turns the
-    accounting off entirely — the pre-KV simulator.
+    one to make memory irrelevant).
 
-    ``prefix_caching`` (on by default, meaningful only with the KV model
-    enabled) shares the KV blocks of requests that declare a common
-    prompt prefix (``Request.prefix_id``) through a refcounted
-    copy-on-write :class:`~repro.serving.prefix.PrefixStore`: admission
-    charges only the unshared suffix when the prefix is resident.
-    Workloads that declare no prefixes never populate the store, so they
+    ``prefix_caching`` (on by default) shares the KV blocks of requests
+    that declare a common prompt prefix (``Request.prefix_id``) through a
+    refcounted copy-on-write :class:`~repro.serving.prefix.PrefixStore`:
+    admission charges only the unshared suffix when the prefix is
+    resident.  The flag gates only the store's ``acquire`` at admission;
+    workloads that declare no prefixes never populate the store, so they
     are bit-identical — digest-equal — with the flag on or off.
     """
 
@@ -143,7 +137,6 @@ class ServingSimulator:
         max_batch_size: int = 32,
         prefill_parallelism: float = 8.0,
         step_model: Optional[StepLatencyModel] = None,
-        kv_memory: bool = True,
         kv_block_tokens: int = DEFAULT_KV_BLOCK_TOKENS,
         kv_budget_blocks: Optional[int] = None,
         hbm_utilization: float = DEFAULT_HBM_UTILIZATION,
@@ -166,9 +159,7 @@ class ServingSimulator:
         self.step_model.ensure_bucket(max_batch_size)
         self.kv_block_tokens = kv_block_tokens
         self.prefix_caching = bool(prefix_caching)
-        if not kv_memory:
-            self.kv_budget_blocks: Optional[int] = None
-        elif kv_budget_blocks is not None:
+        if kv_budget_blocks is not None:
             if kv_budget_blocks < 1:
                 raise ValueError(f"kv_budget_blocks must be >= 1, got {kv_budget_blocks}")
             self.kv_budget_blocks = int(kv_budget_blocks)
@@ -222,18 +213,11 @@ class ReplicaEngine:
     def __init__(self, sim: ServingSimulator, requests: Sequence[Request] = (), replica_id: int = 0):
         self.sim = sim
         self.replica_id = replica_id
-        self.manager: Optional[KvBlockManager] = None
-        self.prefix_store: Optional[PrefixStore] = None
+        self.manager = KvBlockManager(sim.kv_budget_blocks, sim.kv_block_tokens)
+        self.prefix_store = PrefixStore(self.manager)
         self._reserved_blocks = 0
-        if sim.kv_budget_blocks is not None:
-            self.manager = KvBlockManager(sim.kv_budget_blocks, sim.kv_block_tokens)
-            if sim.prefix_caching:
-                self.prefix_store = PrefixStore(self.manager)
-            for request in requests:
-                self._check_fits_budget(request)
-                self._reserved_blocks += self.manager.blocks_for(
-                    request.prompt_tokens + request.output_tokens
-                )
+        for request in requests:
+            self._reserve(request)
         self.queue = RequestQueue(requests)
         # ``waiting`` is maintained sorted by (arrival_ms, request_id) at
         # all times — arrivals append (the queue pops in exactly that
@@ -278,7 +262,9 @@ class ReplicaEngine:
         self._step_cache: dict = {}
 
     # ------------------------------------------------------------------ #
-    def _check_fits_budget(self, request: Request) -> None:
+    def _reserve(self, request: Request) -> None:
+        """Validate a newly assigned request against the KV budget and add
+        its full-context blocks to :attr:`kv_reserved_blocks`."""
         full = self.manager.blocks_for(request.prompt_tokens + request.output_tokens)
         if full > self.manager.total_blocks:
             raise ValueError(
@@ -286,6 +272,7 @@ class ReplicaEngine:
                 f"context ({request.prompt_tokens}+{request.output_tokens} tokens) "
                 f"but the replica budget is {self.manager.total_blocks} blocks"
             )
+        self._reserved_blocks += full
 
     def inject(self, request: Request) -> None:
         """Hand this replica one more request (cluster routing).
@@ -293,11 +280,7 @@ class ReplicaEngine:
         The request is validated against the replica's KV budget exactly
         like ``simulate()`` validates its whole workload up front.
         """
-        if self.manager is not None:
-            self._check_fits_budget(request)
-            self._reserved_blocks += self.manager.blocks_for(
-                request.prompt_tokens + request.output_tokens
-            )
+        self._reserve(request)
         if request.deadline_ms is not None:
             self._has_deadlines = True
         self.queue.push(request)
@@ -325,10 +308,8 @@ class ReplicaEngine:
         self.waiting = []
         self._waiting_reqs = []
         self.running = []
-        if self.prefix_store is not None:
-            self.prefix_store.clear()
-        if self.manager is not None:
-            self.manager.reset()
+        self.prefix_store.clear()
+        self.manager.reset()
         self._reserved_blocks = 0
         self.healthy = False
         self.crashes += 1
@@ -403,7 +384,6 @@ class ReplicaEngine:
         (a real deployment would use the request's ``max_tokens`` bound).
         Maintained incrementally — add on assignment, subtract on finish;
         preemption does not change it (the victim is still outstanding).
-        0 when the KV memory model is disabled.
 
         Deliberately *not* prefix-aware: the worst case assumes no
         sharing (a resident prefix may be evicted before the queued
@@ -415,7 +395,7 @@ class ReplicaEngine:
     def resident_prefix_tokens(self) -> dict:
         """Prefix id -> resident shared tokens, for router snapshots."""
         store = self.prefix_store
-        if store is None or not store.entry_count:
+        if not store.entry_count:
             return {}
         return store.resident_tokens()
 
@@ -435,7 +415,7 @@ class ReplicaEngine:
         """
         manager = self.manager
         store = self.prefix_store
-        if store is None or not store.entry_count:
+        if not store.entry_count:
             return manager.view()
         return KvMemoryView(
             block_tokens=manager.block_tokens,
@@ -451,6 +431,9 @@ class ReplicaEngine:
         """Allocate each running request's next decode token, preempting
         (scheduler-ordered, recompute-on-readmit) until the rest fit.
 
+        Each running request's demand is its *private* context (prompt +
+        decoded tokens + 1, minus its attached shared tokens); the blocks
+        of every prefix some running request references are added once.
         The common no-pressure step is a pure integer pass: the preemption
         structures (needed map, :class:`RunningInfo` snapshots) are only
         built once the total demand actually exceeds the pool, and a
@@ -458,114 +441,28 @@ class ReplicaEngine:
         a block boundary (its holding cannot change otherwise, so neither
         can the pool level or its peak).
 
-        With a populated prefix store the prefix-aware variant runs
-        instead; an empty store (every pre-existing workload) stays on
-        this exact path, which is what keeps zero-sharing runs
-        bit-identical to the pre-prefix engine.
-        """
-        store = self.prefix_store
-        if store is not None and store.entry_count:
-            self._grow_running_prefix(store)
-            return
-        manager = self.manager
-        running = self.running
-        bf = manager.blocks_for
-        total_needed = 0
-        for s in running:
-            total_needed += bf(s.request.prompt_tokens + s.tokens_done + 1)
-
-        if total_needed > manager.total_blocks:
-            needed = {
-                s.request.request_id: bf(s.request.prompt_tokens + s.tokens_done + 1)
-                for s in running
-            }
-            infos = [
-                RunningInfo(
-                    request=s.request,
-                    admitted_ms=s.admitted_ms,
-                    tokens_done=s.tokens_done,
-                    blocks_held=s.blocks_held,
-                )
-                for s in running
-            ]
-            order = self.sim.scheduler.preempt_order(infos, self.now)
-            order_ids = [info.request.request_id for info in order]
-            if sorted(order_ids) != sorted(needed):
-                raise RuntimeError(
-                    f"scheduler {self.sim.scheduler.name!r} preempt_order is not a "
-                    f"permutation of the running batch"
-                )
-            victims = set()
-            for request_id in order_ids:
-                if total_needed <= manager.total_blocks or len(needed) == 1:
-                    break
-                total_needed -= needed.pop(request_id)
-                victims.add(request_id)
-
-            # Victims release before any survivor grows: a survivor's
-            # growth may only fit *because* a victim later in batch order
-            # is being evicted.
-            waiting, waiting_reqs = self.waiting, self._waiting_reqs
-            survivors: List[_ActiveRequest] = []
-            for state in running:
-                if state.request.request_id in victims:
-                    manager.release(state.request.request_id)
-                    # Recompute-on-readmit: the generation restarts from
-                    # the prompt (it re-pays prefill and re-decodes on
-                    # readmission).
-                    state.tokens_done = 0
-                    state.admitted_ms = -1.0
-                    state.blocks_held = 0
-                    index = bisect_left(
-                        waiting_reqs, _arrival_key(state.request), key=_arrival_key
-                    )
-                    waiting.insert(index, state)
-                    waiting_reqs.insert(index, state.request)
-                else:
-                    survivors.append(state)
-            self.running = running = survivors
-            self.preemptions += len(victims)
-
-        for state in running:
-            target = bf(state.request.prompt_tokens + state.tokens_done + 1)
-            if target != state.blocks_held:
-                manager.allocate(
-                    state.request.request_id,
-                    state.request.prompt_tokens + state.tokens_done + 1,
-                )
-                state.blocks_held = target
-
-    def _grow_running_prefix(self, store: PrefixStore) -> None:
-        """The prefix-aware form of :meth:`_grow_running`.
-
-        Each running request's demand is its *private* context (prompt +
-        decoded tokens + 1, minus its attached shared tokens); the blocks
-        of every prefix some running request references are added once.
-        When demand exceeds the pool, the preemption sweep walks the
-        scheduler's victim order exactly as before, except that cutting
+        Under pressure the sweep walks the scheduler's victim order; cutting
         the last attachment of a prefix also drops that prefix's blocks
-        from the demand (a zero-refcount entry is evictable, not
-        required).  Victims release their private blocks and detach from
-        their prefix — the entry stays cached, so readmission re-attaches
-        for free while it remains resident.  Survivor growth evicts
-        cached entries on demand before allocating.
+        from the demand (a zero-refcount entry is evictable, not required).
+        Victims release their private blocks and detach from their prefix —
+        the entry stays cached, so readmission re-attaches for free while it
+        remains resident.  Survivor growth evicts cached entries on demand
+        before allocating.
         """
         manager = self.manager
+        store = self.prefix_store
         running = self.running
-        bf = manager.blocks_for
-        total_needed = store.referenced_blocks
-        for s in running:
-            total_needed += bf(
-                s.request.prompt_tokens + s.tokens_done + 1 - s.shared_tokens
+        block_tokens = manager.block_tokens
+        targets = [
+            blocks_for_tokens(
+                s.request.prompt_tokens + s.tokens_done + 1 - s.shared_tokens, block_tokens
             )
+            for s in running
+        ]
+        total_needed = store.referenced_blocks + sum(targets)
 
         if total_needed > manager.total_blocks:
-            needed = {
-                s.request.request_id: bf(
-                    s.request.prompt_tokens + s.tokens_done + 1 - s.shared_tokens
-                )
-                for s in running
-            }
+            needed = {s.request.request_id: target for s, target in zip(running, targets)}
             # Attachment counts among the running batch (== the store's
             # refcounts: only running requests hold references), so the
             # sweep can tell when a victim was a prefix's last holder.
@@ -577,7 +474,7 @@ class ReplicaEngine:
                 if key is not None:
                     prefix_of[s.request.request_id] = key
                     ref_counts[key] = ref_counts.get(key, 0) + 1
-                    ref_blocks[key] = s.shared_tokens // manager.block_tokens
+                    ref_blocks[key] = s.shared_tokens // block_tokens
             infos = [
                 RunningInfo(
                     request=s.request,
@@ -606,15 +503,22 @@ class ReplicaEngine:
                         total_needed -= ref_blocks[key]
                 victims.add(request_id)
 
+            # Victims release before any survivor grows: a survivor's
+            # growth may only fit *because* a victim later in batch order
+            # is being evicted.
             waiting, waiting_reqs = self.waiting, self._waiting_reqs
             survivors: List[_ActiveRequest] = []
-            for state in running:
+            survivor_targets: List[int] = []
+            for state, target in zip(running, targets):
                 if state.request.request_id in victims:
                     manager.release(state.request.request_id)
                     if state.prefix_key is not None:
                         store.release(state.prefix_key)
                         state.prefix_key = None
                         state.shared_tokens = 0
+                    # Recompute-on-readmit: the generation restarts from
+                    # the prompt (it re-pays prefill and re-decodes on
+                    # readmission).
                     state.tokens_done = 0
                     state.admitted_ms = -1.0
                     state.blocks_held = 0
@@ -625,15 +529,20 @@ class ReplicaEngine:
                     waiting_reqs.insert(index, state.request)
                 else:
                     survivors.append(state)
+                    survivor_targets.append(target)
             self.running = running = survivors
+            targets = survivor_targets
             self.preemptions += len(victims)
 
-        for state in running:
-            tokens = state.request.prompt_tokens + state.tokens_done + 1 - state.shared_tokens
-            target = bf(tokens)
+        for state, target in zip(running, targets):
             if target != state.blocks_held:
-                store.ensure_free(target - state.blocks_held)
-                manager.allocate(state.request.request_id, tokens)
+                # Without resident prefixes there is nothing to evict.
+                if store.entry_count:
+                    store.ensure_free(target - state.blocks_held)
+                manager.allocate(
+                    state.request.request_id,
+                    state.request.prompt_tokens + state.tokens_done + 1 - state.shared_tokens,
+                )
                 state.blocks_held = target
 
     # ------------------------------------------------------------------ #
@@ -687,10 +596,9 @@ class ReplicaEngine:
                     r = state.request
                     if r.deadline_ms is not None and r.deadline_ms <= now:
                         self.shed.append(r.request_id)
-                        if manager is not None:
-                            self._reserved_blocks -= manager.blocks_for(
-                                r.prompt_tokens + r.output_tokens
-                            )
+                        self._reserved_blocks -= manager.blocks_for(
+                            r.prompt_tokens + r.output_tokens
+                        )
                 self.waiting = waiting = kept
                 self._waiting_reqs = waiting_reqs = [s.request for s in kept]
 
@@ -709,7 +617,7 @@ class ReplicaEngine:
         # pool cannot cover the growth), then admit into what is left —
         # so admission can never force the request it just admitted
         # straight back out.
-        if manager is not None and self.running:
+        if self.running:
             self._grow_running()
             waiting = self.waiting
             waiting_reqs = self._waiting_reqs
@@ -721,7 +629,7 @@ class ReplicaEngine:
                 free_slots=sim.max_batch_size - len(self.running),
                 now_ms=self.now,
                 more_arrivals=len(self.queue) > 0 or external_pending,
-                memory=self._memory_view() if manager is not None else None,
+                memory=self._memory_view(),
             )
         else:
             # Every policy admits nothing from an empty waiting list (and
@@ -753,36 +661,33 @@ class ReplicaEngine:
                 ]
                 self._waiting_reqs = waiting_reqs = [s.request for s in waiting]
             store = self.prefix_store
+            prefix_caching = sim.prefix_caching
             for state in joining:
                 if state.scheduled_ms < 0:
                     state.scheduled_ms = self.now
                 state.admitted_ms = self.now
-                if manager is not None:
-                    request = state.request
-                    # The prompt plus the first decode token, mirroring
-                    # KvMemoryView.admission_blocks; an attached shared
-                    # prefix covers its whole-block head, so only the
-                    # private remainder is allocated to the request.
-                    admit_tokens = request.prompt_tokens + 1
-                    try:
-                        if store is not None:
-                            if request.prefix_id is not None:
-                                shared = store.acquire(
-                                    request.prefix_id, request.prefix_tokens
-                                )
-                                if shared:
-                                    state.prefix_key = request.prefix_id
-                                    state.shared_tokens = shared
-                                    admit_tokens -= shared
-                            if store.entry_count:
-                                store.ensure_free(manager.blocks_for(admit_tokens))
-                        manager.allocate(request.request_id, admit_tokens)
-                    except RuntimeError as exc:
-                        raise RuntimeError(
-                            f"scheduler {sim.scheduler.name!r} admitted request "
-                            f"{request.request_id} beyond the KV budget: {exc}"
-                        ) from exc
-                    state.blocks_held = manager.blocks_for(admit_tokens)
+                request = state.request
+                # The prompt plus the first decode token, mirroring
+                # KvMemoryView.admission_blocks; an attached shared
+                # prefix covers its whole-block head, so only the
+                # private remainder is allocated to the request.
+                admit_tokens = request.prompt_tokens + 1
+                try:
+                    if prefix_caching and request.prefix_id is not None:
+                        shared = store.acquire(request.prefix_id, request.prefix_tokens)
+                        if shared:
+                            state.prefix_key = request.prefix_id
+                            state.shared_tokens = shared
+                            admit_tokens -= shared
+                    if store.entry_count:
+                        store.ensure_free(manager.blocks_for(admit_tokens))
+                    manager.allocate(request.request_id, admit_tokens)
+                except RuntimeError as exc:
+                    raise RuntimeError(
+                        f"scheduler {sim.scheduler.name!r} admitted request "
+                        f"{request.request_id} beyond the KV budget: {exc}"
+                    ) from exc
+                state.blocks_held = manager.blocks_for(admit_tokens)
             self.running.extend(joining)
         else:
             joining = []
@@ -844,8 +749,7 @@ class ReplicaEngine:
         self.queue_depth_sum += depth
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
-        if manager is not None:
-            self.kv_utilization_sum += manager.utilization
+        self.kv_utilization_sum += manager.utilization
 
         finished = self.finished
         still_running: List[_ActiveRequest] = []
@@ -855,15 +759,14 @@ class ReplicaEngine:
                 state.first_token_ms = now
             request = state.request
             if state.tokens_done >= request.output_tokens:
-                if manager is not None:
-                    manager.release(request.request_id)
-                    if state.prefix_key is not None:
-                        # Detach from the shared prefix; the entry stays
-                        # cached for later arrivals until evicted.
-                        self.prefix_store.release(state.prefix_key)
-                    self._reserved_blocks -= manager.blocks_for(
-                        request.prompt_tokens + request.output_tokens
-                    )
+                manager.release(request.request_id)
+                if state.prefix_key is not None:
+                    # Detach from the shared prefix; the entry stays
+                    # cached for later arrivals until evicted.
+                    self.prefix_store.release(state.prefix_key)
+                self._reserved_blocks -= manager.blocks_for(
+                    request.prompt_tokens + request.output_tokens
+                )
                 finished.append(
                     RequestMetrics(
                         request_id=request.request_id,
@@ -910,21 +813,15 @@ class ReplicaEngine:
             max_queue_depth=self.max_queue_depth,
             requests=finished,
             preemptions=self.preemptions,
-            kv_block_tokens=sim.kv_block_tokens if manager is not None else 0,
-            kv_total_blocks=manager.total_blocks if manager is not None else 0,
-            kv_peak_utilization=(
-                manager.peak_used_blocks / manager.total_blocks if manager is not None else 0.0
-            ),
-            mean_kv_utilization=(
-                self.kv_utilization_sum / self.steps
-                if manager is not None and self.steps
-                else 0.0
-            ),
-            prefix_hits=store.hits if store is not None else 0,
-            prefix_misses=store.misses if store is not None else 0,
-            prefix_blocks_saved=store.blocks_saved if store is not None else 0,
-            prefix_evictions=store.evictions if store is not None else 0,
-            prefix_resident_peak=store.peak_resident if store is not None else 0,
+            kv_block_tokens=sim.kv_block_tokens,
+            kv_total_blocks=manager.total_blocks,
+            kv_peak_utilization=manager.peak_used_blocks / manager.total_blocks,
+            mean_kv_utilization=self.kv_utilization_sum / self.steps if self.steps else 0.0,
+            prefix_hits=store.hits,
+            prefix_misses=store.misses,
+            prefix_blocks_saved=store.blocks_saved,
+            prefix_evictions=store.evictions,
+            prefix_resident_peak=store.peak_resident,
             shed=len(self.shed),
             crashes=self.crashes,
             downtime_ms=self.downtime_ms,

