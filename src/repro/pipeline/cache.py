@@ -31,7 +31,7 @@ import os
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.instructions.registry import InstructionSet
@@ -152,11 +152,13 @@ def compile_key(
     ``backend`` is the resolved codegen backend *name* (``None`` follows the
     architecture's declared backend).  It is part of the key so a kernel
     compiled for one target is never replayed for another — the synthesized
-    swizzles and the emitted source both depend on it.
+    swizzles and the emitted source both depend on it.  Every ``arch``
+    field is keyed, not just its name: a variant with the same name but
+    other banking synthesizes other swizzles.
     """
     token = [
         _program_token(program),
-        arch.name,
+        [getattr(arch, f.name) for f in fields(arch)],
         backend if backend is not None else arch.backend,
         _instruction_set_token(instructions),
         options.max_candidates,

@@ -1,6 +1,8 @@
 """Compile-cache tests: fingerprint stability, hit equality, misses on
 arch/option changes, the LRU bound, and the on-disk JSON store."""
 
+import dataclasses
+
 import pytest
 
 from repro.compiler import compile_kernel
@@ -11,7 +13,7 @@ from repro.pipeline import (
     compile_key,
     program_fingerprint,
 )
-from repro.sim.arch import get_arch
+from repro.sim.arch import A100, get_arch
 from repro.instructions.registry import instruction_set
 
 
@@ -110,6 +112,17 @@ def test_arch_and_option_changes_miss():
     assert cache.stats.hits == 0
     assert cache.stats.misses == 3
     assert len(cache) == 3
+
+
+def test_same_named_arch_variant_misses():
+    """An arch that keeps A100's name but changes its banking changes swizzle
+    synthesis, so it must not replay A100's compile."""
+    cache = CompileCache()
+    narrow_banks = dataclasses.replace(A100, smem_banks=16)
+    compile_kernel(small_gemm(), arch=A100, max_candidates=4, cache=cache)
+    variant = compile_kernel(small_gemm(), arch=narrow_banks, max_candidates=4, cache=cache)
+    assert not variant.cache_hit
+    assert cache.stats.misses == 2
 
 
 def test_uncacheable_options_bypass_the_cache():
