@@ -30,9 +30,9 @@ two runs, report availability < 1 with goodput > 0 while conserving every
 request, and with an *empty* schedule digest identically to
 ``faults=None``; and a **cross-backend** cell must serve the same seeded
 workload through the ``cpu-sim`` codegen backend digest-stably (and
-distinctly from the cuda serve), a ``lazy=True`` step model must serve
-digest-identically to the eager precompiled model, and the lazy serve
-must compile strictly fewer bucket cells than ``precompile()`` covers.
+distinctly from the cuda serve), a step model that is never precompiled
+must serve digest-identically to the precompiled model, and must evaluate
+strictly fewer bucket cells than ``precompile()`` covers.
 Any violation exits nonzero.
 
 Run with:  PYTHONPATH=src python benchmarks/bench_serving.py [--smoke]
@@ -394,12 +394,15 @@ def run_cross_backend_check(
     (a) **cuda vs cpu-sim sweep**: the same seeded workload served on the
     ``cpu-sim`` arch — kernel compilation dispatches through the cpu
     codegen backend — must be digest-stable across two runs and must not
-    collide with the cuda serve's digest.  (b) **lazy vs eager**: a
-    ``lazy=True`` step model (cold cache, nothing precompiled) must
-    produce bit-identical serve digests to the eager precompiled model.
-    (c) **lazy compiles less**: the lazy serve must compile strictly
-    fewer (config, backend, bucket) cells than the eager
-    ``precompile()`` fan-out covers.
+    collide with the cuda serve's digest.  (b) **never precompiled vs
+    precompiled**: a step model on which ``precompile()`` is never called
+    (cold cache; each bucket compiles on its first lookup) must produce
+    bit-identical serve digests to the precompiled model, and every kernel
+    it compiles must be one the precompile built, with the same emitted
+    source.  (c) **fewer
+    cells**: that serve must evaluate strictly fewer (config, backend,
+    bucket) cells (``memo_misses``) than the ``precompile()`` fan-out
+    over all swept configs covers.
     """
     # Prefer an fp16 model: the cpu-sim arch sits on the pre-Hopper
     # instruction tier, so fp8 FFN kernels are not compilable there.
@@ -417,10 +420,9 @@ def run_cross_backend_check(
         )
         return sim.simulate(workload, workload=args.workload)
 
-    # (a) the cpu-sim serve, lazily compiled through the cpu backend.
+    # (a) the cpu-sim serve, compiled on first lookup through the cpu backend.
     cpu_model = StepLatencyModel(
-        arch="cpu-sim", buckets=buckets, cache=CompileCache(max_entries=2048),
-        lazy=True,
+        arch="cpu-sim", buckets=buckets, cache=CompileCache(max_entries=2048)
     )
     cpu_report = serve(cpu_model, "cpu-sim")
     cuda_report = serve(eager_model, args.arch)
@@ -431,50 +433,44 @@ def run_cross_backend_check(
             "cpu-sim serve digest collides with the cuda serve — the arch/"
             "backend is not reaching the report"
         )
-    if cpu_model.buckets_compiled <= 0:
+    if cpu_model.memo_misses <= 0 or len(cpu_model.cache) == 0:
         failures.append("cpu-sim serve never compiled a bucket cell")
     print(cpu_report.summary())
 
-    # (b) + (c) lazy vs eager on the primary arch, from a cold cache.
-    lazy_model = StepLatencyModel(
-        arch=args.arch, buckets=buckets, cache=CompileCache(max_entries=2048),
-        lazy=True,
+    # (b) + (c) never precompiled vs precompiled on the primary arch, from
+    # a cold cache.
+    plain_model = StepLatencyModel(
+        arch=args.arch, buckets=buckets, cache=CompileCache(max_entries=2048)
     )
-    lazy_stats = lazy_model.precompile([config])
-    if lazy_stats.compiled != 0 or lazy_stats.errors != 0:
-        failures.append(
-            f"lazy precompile did not defer (compiled={lazy_stats.compiled}, "
-            f"errors={lazy_stats.errors})"
-        )
-    if lazy_model.compiles_deferred <= 0:
-        failures.append("lazy precompile on a cold cache deferred nothing")
     for scheduler in ("fcfs", "slo"):
-        lazy_report = serve(lazy_model, args.arch, scheduler)
+        plain_report = serve(plain_model, args.arch, scheduler)
         eager_report = serve(eager_model, args.arch, scheduler)
-        if lazy_report.digest() != eager_report.digest():
+        if plain_report.digest() != eager_report.digest():
             failures.append(
-                f"lazy serve not bit-identical to eager ({scheduler}): "
-                f"{lazy_report.digest()} vs {eager_report.digest()}"
+                f"never-precompiled serve not bit-identical to precompiled "
+                f"({scheduler}): {plain_report.digest()} vs {eager_report.digest()}"
             )
-        if lazy_report.buckets_compiled <= 0:
-            failures.append(f"lazy serve reported no compiled buckets ({scheduler})")
-        if eager_report.buckets_compiled != 0 or eager_report.compiles_deferred != 0:
+    if plain_model.memo_misses <= 0 or len(plain_model.cache) == 0:
+        failures.append("never-precompiled serve compiled no bucket cell")
+    for key in plain_model.cache.keys():
+        entry = eager_model.cache.get(key)
+        if entry is None or entry.source_digest != plain_model.cache.get(key).source_digest:
             failures.append(
-                f"eager serve carries lazy counters ({scheduler}): "
-                f"{eager_report.buckets_compiled}/{eager_report.compiles_deferred}"
+                f"kernel {key[:12]} compiled on first lookup is not one the "
+                f"precompile built with the same source"
             )
     eager_cells = len(configs) * len(buckets)
-    if not lazy_model.buckets_compiled < eager_cells:
+    if not plain_model.memo_misses < eager_cells:
         failures.append(
-            f"lazy serving compiled {lazy_model.buckets_compiled} bucket cells, "
-            f"not strictly fewer than the {eager_cells} eager precompile covers"
+            f"never-precompiled serving evaluated {plain_model.memo_misses} bucket "
+            f"cells, not strictly fewer than the {eager_cells} precompile covers"
         )
     print(
         f"cross-backend: cpu-sim digest stable and distinct from cuda "
-        f"({cpu_model.buckets_compiled} cpu bucket cells compiled lazily); "
-        f"lazy == eager digests on fcfs/slo with "
-        f"{lazy_model.buckets_compiled}/{eager_cells} bucket cells compiled "
-        f"({lazy_model.compiles_deferred} tile programs deferred at startup)"
+        f"({cpu_model.memo_misses} cpu bucket cells compiled on first lookup); "
+        f"never-precompiled == precompiled digests on fcfs/slo with "
+        f"{plain_model.memo_misses}/{eager_cells} bucket cells evaluated "
+        f"({len(plain_model.cache)} kernels compiled on first lookup)"
     )
     return [cpu_report]
 
@@ -646,7 +642,7 @@ def main(argv=None) -> int:
     )
 
     # ------------------------------------------------------------------ #
-    # Cross-backend: cpu-sim codegen serve + lazy-vs-eager compilation.
+    # Cross-backend: cpu-sim codegen serve + serving without precompile.
     # ------------------------------------------------------------------ #
     print()
     cross_reports = run_cross_backend_check(

@@ -142,12 +142,6 @@ class ServeReport:
     shed: int = 0
     crashes: int = 0
     downtime_ms: float = 0.0
-    # Lazy-compilation rollups from the replica's StepLatencyModel (zeros
-    # when the model is eager).  Outside digest() by the same reasoning:
-    # lazy and eager runs of the same traffic must digest identically —
-    # only *when* kernels compile differs, never what is served.
-    buckets_compiled: int = 0
-    compiles_deferred: int = 0
 
     # ------------------------------------------------------------------ #
     @property

@@ -825,8 +825,6 @@ class ReplicaEngine:
             shed=len(self.shed),
             crashes=self.crashes,
             downtime_ms=self.downtime_ms,
-            buckets_compiled=getattr(sim.step_model, "buckets_compiled", 0),
-            compiles_deferred=getattr(sim.step_model, "compiles_deferred", 0),
         )
 
 

@@ -14,10 +14,16 @@ reusable provider with two levels of reuse:
   bound the number of captured CUDA graphs / compiled kernel shapes.  The
   whole bucket set can be **precompiled up front** through
   :func:`repro.pipeline.compile_many`: one batched fan-out builds exactly
-  the tile programs the operators will request, so kernel compilation cost
-  is paid once per bucket at serving startup (and a warm compile cache
-  makes that startup measurably faster — the cold-vs-warm experiment in
-  ``benchmarks/bench_serving.py``).
+  the tile programs the operators will request, so kernel *search* cost is
+  paid once per bucket at serving startup.  A model that is never
+  precompiled compiles each bucket's kernels on its first lookup instead,
+  through the same cache, with identical latencies.
+
+A warm compile cache makes ``precompile()`` itself far cheaper (it only
+fingerprints; the cold-vs-warm gate in ``benchmarks/bench_serving.py``),
+but not the first lookup of each bucket: the operators still replay every
+compiler pass of every cached kernel there, and that replay (dominated by
+``tv-synthesis``, ROADMAP item 1) can cost more than the cold precompile.
 
 The per-operator functions themselves (attention / MoE / Mamba scan / FFN)
 are the ones ``e2e.engine`` composes into Fig. 13; ``decode_latency`` now
@@ -51,7 +57,7 @@ from repro.instructions.registry import instruction_set
 from repro.pipeline.cache import CompileCache, compile_key, default_cache
 from repro.pipeline.context import CompileOptions, CompileRequest
 from repro.pipeline.driver import compile_many
-from repro.sim.arch import DEFAULT_EVAL_ARCH, get_arch
+from repro.sim.arch import DEFAULT_EVAL_ARCH, GpuArch, get_arch
 
 __all__ = [
     "DEFAULT_BATCH_BUCKETS",
@@ -166,7 +172,7 @@ class PrecompileStats:
 
     ``requests`` counts every (config, operator, bucket) tile program
     considered; ``already_cached`` those whose fingerprint was found in the
-    compile cache (the warm-startup path: no passes run at all);
+    compile cache (the warm path: ``precompile`` runs no passes for them);
     ``compiled`` the distinct programs actually sent through
     ``compile_many``.
     """
@@ -188,7 +194,9 @@ class StepLatencyModel:
     the batch size rounds up to the next entry of ``buckets`` so the model
     only ever compiles kernels for a fixed set of batch shapes.
     ``bucketed=False`` (used by ``decode_latency``) evaluates at the exact
-    batch size instead, still memoized.
+    batch size instead, still memoized.  ``memo_misses`` counts the
+    (config, backend, batch) cells evaluated.  A model that is never
+    precompiled compiles each cell's kernels on that cell's first lookup.
     """
 
     def __init__(
@@ -196,22 +204,12 @@ class StepLatencyModel:
         arch=DEFAULT_EVAL_ARCH,
         buckets: Sequence[int] = DEFAULT_BATCH_BUCKETS,
         cache: Optional[CompileCache] = None,
-        lazy: bool = False,
     ):
         self.arch = get_arch(arch)
         self.buckets = tuple(sorted({int(b) for b in buckets}))
         if not self.buckets or self.buckets[0] < 1:
             raise ValueError(f"buckets must be positive integers, got {buckets!r}")
         self.cache = cache
-        # Lazy compilation: precompile() defers, and the first latency
-        # lookup of each (config, backend, bucket) cell batch-compiles that
-        # cell's tile programs through the ordinary compile cache instead.
-        # Latencies are identical either way (same programs, same cache);
-        # only *when* compilation happens changes.
-        self.lazy = bool(lazy)
-        self.buckets_compiled = 0
-        self.compiles_deferred = 0
-        self._lazy_compiled: set = set()
         self._memo: Dict[Tuple, Dict[str, float]] = {}
         self._lock = threading.Lock()
         self.memo_hits = 0
@@ -280,9 +278,6 @@ class StepLatencyModel:
                 self.memo_hits += 1
                 return dict(cached)
             self.memo_misses += 1
-
-        if self.lazy:
-            self._ensure_compiled(config, backend, effective)
 
         plan = operator_plan(config, backend)
         if parallel and len(plan) > 1:
@@ -414,31 +409,6 @@ class StepLatencyModel:
             return requests
         raise KeyError(f"unknown operator class {name!r}")
 
-    def _ensure_compiled(self, config, backend: str, bucket: int) -> None:
-        """Lazily batch-compile one (config, backend, bucket) cell's kernels.
-
-        Called on the first latency lookup of a cell in lazy mode: the
-        cell's tile programs go through one :func:`compile_many` fan-out
-        into the ordinary compile cache, so the operator evaluations that
-        follow replay instead of compiling serially.  Cells the operators
-        never ask for are never compiled — the startup saving the
-        lazy-vs-eager benchmark measures.
-        """
-        cell = (config, backend, bucket)
-        with self._lock:
-            if cell in self._lazy_compiled:
-                return
-            self._lazy_compiled.add(cell)
-            self.buckets_compiled += 1
-        requests: List[CompileRequest] = []
-        if backend == "hexcute":
-            for name, _, op_backend in operator_plan(config, backend):
-                requests.extend(self._op_requests(name, config, bucket, op_backend))
-        if requests:
-            cache = self.cache if self.cache is not None else default_cache()
-            # Build failures mark infeasible tiles, exactly as in precompile.
-            compile_many(requests, arch=self.arch, cache=cache, return_errors=True)
-
     def precompile(
         self,
         configs,
@@ -451,18 +421,16 @@ class StepLatencyModel:
         ``configs`` is one model config or a sequence of them.  The tile
         programs of all (config, operator, bucket) combinations are
         fingerprinted against the compile cache first — a shape the cache
-        already holds is *skipped outright* (a warm serving startup runs no
-        compiler passes at all, it just verifies fingerprints), which is
-        what makes warm startup dramatically cheaper than cold.  The
+        already holds is *skipped outright* (a warm ``precompile()`` runs no
+        compiler passes, it just verifies fingerprints), which is what makes
+        a warm precompile dramatically cheaper than a cold one.  The first
+        latency lookup of each bucket still replays every compiler pass of
+        each cached kernel, warm or cold (see the module docstring).  The
         remaining distinct programs go through a single
         :func:`repro.pipeline.compile_many` fan-out (parallel across
         fingerprints).  Build failures are tolerated (the corresponding
         tile was infeasible); the returned stats carry the cache-stats
         delta so cold and warm startups can be told apart.
-
-        On a ``lazy=True`` model this is a *deferral*: nothing compiles;
-        the distinct uncached programs are counted in ``compiles_deferred``
-        and each bucket compiles on its first latency lookup instead.
         """
         if hasattr(configs, "num_layers"):  # a single ModelConfig-shaped object
             configs = [configs]
@@ -486,21 +454,6 @@ class StepLatencyModel:
                 already_cached += 1
             else:
                 distinct.setdefault(key, request)
-
-        if self.lazy:
-            with self._lock:
-                self.compiles_deferred += len(distinct)
-            return PrecompileStats(
-                requests=len(requests),
-                compiled=0,
-                already_cached=already_cached,
-                errors=0,
-                seconds=time.perf_counter() - start,
-                cache_delta={
-                    key: value - before.get(key, 0)
-                    for key, value in cache.stats.as_dict().items()
-                },
-            )
 
         results = compile_many(
             list(distinct.values()),
@@ -527,7 +480,7 @@ class StepLatencyModel:
 # --------------------------------------------------------------------------- #
 # The process-wide shared models (one per architecture)
 # --------------------------------------------------------------------------- #
-_shared_models: Dict[str, StepLatencyModel] = {}
+_shared_models: Dict[GpuArch, StepLatencyModel] = {}
 _shared_lock = threading.Lock()
 
 
@@ -539,7 +492,9 @@ def shared_step_model(arch=DEFAULT_EVAL_ARCH) -> StepLatencyModel:
     """
     gpu = get_arch(arch)
     with _shared_lock:
-        model = _shared_models.get(gpu.name)
+        # Keyed on the whole frozen GpuArch, like compile_key: a same-named
+        # variant (say, fewer SMs) must not be timed on the original arch.
+        model = _shared_models.get(gpu)
         if model is None:
-            model = _shared_models[gpu.name] = StepLatencyModel(arch=gpu)
+            model = _shared_models[gpu] = StepLatencyModel(arch=gpu)
         return model

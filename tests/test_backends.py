@@ -259,37 +259,31 @@ def test_ctype_unknown_dtype_raises_keyerror_listing_known(table):
 
 
 # --------------------------------------------------------------------------- #
-# Lazy kernel compilation in the serving step model
+# Serving without precompile: each bucket compiles on its first lookup
 # --------------------------------------------------------------------------- #
-def test_lazy_step_model_digest_identical_and_compiles_fewer_buckets():
+def test_never_precompiled_step_model_digest_identical_and_evaluates_fewer_buckets():
     from repro.e2e.engine import QWEN3_32B
     from repro.serving.simulator import ServingSimulator
     from repro.serving.step_model import StepLatencyModel
     from repro.serving.workload import bursty_workload, steady_workload
 
+    with pytest.raises(TypeError):
+        StepLatencyModel(arch="h100", lazy=True)
+
     steady = list(steady_workload(num_requests=40, seed=3))
     bursty = list(bursty_workload(num_requests=40, seed=3))
 
     eager_model = StepLatencyModel(arch="h100", cache=CompileCache(disk_path=None))
-    lazy_model = StepLatencyModel(
-        arch="h100", cache=CompileCache(disk_path=None), lazy=True
-    )
-    assert not eager_model.lazy and lazy_model.lazy
+    plain_cache = CompileCache(disk_path=None)
+    plain_model = StepLatencyModel(arch="h100", cache=plain_cache)
 
     eager_sim = ServingSimulator(
         QWEN3_32B, arch="h100", max_batch_size=32, step_model=eager_model
     )
     eager_stats = eager_sim.precompile()
     assert eager_stats.compiled > 0
-
-    lazy_sim = ServingSimulator(
-        QWEN3_32B, arch="h100", max_batch_size=32, step_model=lazy_model
-    )
-    lazy_stats = lazy_sim.precompile()
-    # A lazy precompile defers: nothing compiles at startup.
-    assert lazy_stats.compiled == 0
-    assert lazy_model.compiles_deferred == eager_stats.compiled
-    assert lazy_model.buckets_compiled == 0
+    # The plain model is never precompiled: nothing has compiled for it yet.
+    assert len(plain_cache) == 0
 
     # Digest-identical per scheduler x steady/bursty workload.
     for scheduler in ("fcfs", "slo"):
@@ -298,22 +292,29 @@ def test_lazy_step_model_digest_identical_and_compiles_fewer_buckets():
                 QWEN3_32B, scheduler=scheduler, arch="h100",
                 max_batch_size=32, step_model=eager_model,
             )
-            lazy_sim = ServingSimulator(
+            plain_sim = ServingSimulator(
                 QWEN3_32B, scheduler=scheduler, arch="h100",
-                max_batch_size=32, step_model=lazy_model,
+                max_batch_size=32, step_model=plain_model,
             )
             eager_report = eager_sim.simulate(requests, workload=name)
-            lazy_report = lazy_sim.simulate(requests, workload=name)
-            assert eager_report.digest() == lazy_report.digest(), (
-                f"{scheduler}/{name}: lazy digest diverged from eager"
+            plain_report = plain_sim.simulate(requests, workload=name)
+            assert eager_report.digest() == plain_report.digest(), (
+                f"{scheduler}/{name}: never-precompiled digest diverged from precompiled"
             )
-            # The lazy counters ride outside the digest.
-            assert lazy_report.buckets_compiled > 0
-            assert lazy_report.compiles_deferred > 0
-            assert eager_report.buckets_compiled == 0
+            # The plain model compiled on first lookup, into its own cache.
+            assert plain_model.memo_misses > 0
+            assert len(plain_cache) > 0
 
-    # The steady traffic never batched at every bucket: lazily compiling
-    # on first lookup touched strictly fewer bucket cells than the eager
-    # precompile paid for up front.
+    # The steady traffic never batched at every bucket: compiling on first
+    # lookup evaluated strictly fewer bucket cells than the precompile paid
+    # for up front.
     eager_cells = len([b for b in eager_model.buckets if b <= 32])
-    assert lazy_model.buckets_compiled < eager_cells
+    assert plain_model.memo_misses < eager_cells
+    # Every kernel compiled on first lookup is one the precompile built,
+    # with the same emitted source.
+    for key in plain_cache.keys():
+        assert key in eager_model.cache
+        assert (
+            plain_cache.get(key).source_digest
+            == eager_model.cache.get(key).source_digest
+        )

@@ -69,6 +69,21 @@ TINY_MAMBA = ModelConfig(
     weight_dtype="fp16",
     tensor_parallel=1,
 )
+TINY_MOE = ModelConfig(
+    name="tiny-moe",
+    num_layers=2,
+    hidden_size=256,
+    num_heads=4,
+    kv_len=256,
+    head_dim=64,
+    moe_layers=2,
+    moe_experts=8,
+    moe_top_k=2,
+    moe_intermediate=256,
+    weight_dtype="awq-int4",
+    tensor_parallel=1,
+)
+TINY_FP8 = dataclasses.replace(TINY_DENSE, name="tiny-fp8", weight_dtype="fp8")
 
 
 # --------------------------------------------------------------------------- #
@@ -188,6 +203,21 @@ def test_ensure_bucket_extends_to_the_next_power_of_two():
     assert model.bucket_for(100) == 128
 
 
+def test_shared_step_model_keys_on_every_arch_field():
+    """A same-named arch variant gets its own shared model, so a simulator
+    built on it times steps on the variant, not on the original arch."""
+    a100 = get_arch("a100")
+    variant = dataclasses.replace(a100, num_sms=54)
+    assert variant.name == a100.name
+    assert shared_step_model(a100) is shared_step_model("a100")
+    model = shared_step_model(variant)
+    assert model is not shared_step_model(a100)
+    assert model.arch.num_sms == 54
+    assert shared_step_model(dataclasses.replace(a100, num_sms=54)) is model
+    sim = ServingSimulator(TINY_DENSE, backend="baseline", arch=variant, max_batch_size=2)
+    assert sim.step_model.arch == variant
+
+
 def test_simulator_extends_buckets_for_large_max_batch():
     """ServingSimulator(max_batch_size=N) must never be timed at a smaller
     bucket: the constructor extends the step model's bucket set."""
@@ -235,23 +265,34 @@ def test_step_model_parallel_serial_equivalence():
     assert set(parallel) == {"attention", "ffn"}
 
 
-def test_precompile_warms_cache_and_evaluation_hits_it():
+# One small config per _op_requests branch: dense fp16 FFN, MoE, Mamba scan
+# and fp8 FFN (fp8 needs Hopper's instruction tier).  Attention is in all.
+@pytest.mark.parametrize(
+    "config, arch",
+    [(TINY_DENSE, "a100"), (TINY_MOE, "a100"), (TINY_MAMBA, "a100"), (TINY_FP8, "h100")],
+    ids=["dense", "moe", "mamba", "fp8"],
+)
+def test_precompile_warms_cache_and_evaluation_hits_it(config, arch):
     cache = CompileCache(max_entries=256)
-    model = StepLatencyModel(arch="a100", buckets=(1, 2), cache=cache)
-    cold = model.precompile(TINY_DENSE)
+    model = StepLatencyModel(arch=arch, buckets=(1, 2), cache=cache)
+    cold = model.precompile(config)
     assert cold.requests > 0 and cold.compiled > 0 and cold.errors == 0
     assert cold.already_cached == 0
     assert cold.cache_delta["puts"] == cold.compiled
 
     # A second model over the same cache starts warm: nothing to compile.
-    warm = StepLatencyModel(arch="a100", buckets=(1, 2), cache=cache).precompile(TINY_DENSE)
+    warm = StepLatencyModel(arch=arch, buckets=(1, 2), cache=cache).precompile(config)
     assert warm.compiled == 0 and warm.already_cached == warm.requests
 
-    # Evaluation afterwards only *hits* the precompiled cache (no new puts).
-    puts_before = cache.stats.puts
-    latency = model.step_latency_ms(TINY_DENSE, "hexcute", batch=2)
-    assert latency > 0
-    assert cache.stats.puts == puts_before
+    # Every bucket's evaluation afterwards only *hits* the precompiled
+    # cache: each kernel an operator compiles is one _op_requests built.
+    for bucket in model.buckets:
+        before = cache.stats.as_dict()
+        latency = model.step_latency_ms(config, "hexcute", batch=bucket)
+        assert latency > 0
+        assert cache.stats.puts == before["puts"], f"bucket {bucket}: new puts"
+        assert cache.stats.misses == before["misses"], f"bucket {bucket}: misses"
+        assert cache.stats.hits > before["hits"]
 
 
 def test_head_dim_is_parameterized():
